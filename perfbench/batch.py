@@ -34,6 +34,7 @@ from perfbench import queries, tracer as tracing
 from perfbench.report import (
     SERVICE_STATS,
     Outcome,
+    host_scale,
     peak_rss_mb,
     percentile_ms,
 )
@@ -53,16 +54,18 @@ class Sizing:
     #: included) on a 2-core 2 GHz x86 container shared with other
     #: tenants, measured in one of its slow stretches.
     round_seconds: float
-    #: Reads sent to each finished world: about 0.35 s of probing.
-    #: Host speed on a shared machine drifts over seconds, so a probe
-    #: that long averages the drift better than a short one.
+    #: Reads sent to each finished world: about 0.4 to 0.6 s of
+    #: probing, and at least 20 reads beyond the p99.  A read costs
+    #: 0.29 ms on average at k=16, 0.038 ms at k=8 and 0.013 ms at
+    #: k=4, most of it in ``planned_touches``.
     probe_reads: int
 
 
-SIZING = {"hall_chaos": Sizing(13.0, 5000),
-          "traffic": Sizing(10.5, 25000),
-          "twin": Sizing(14.0, 50000)}
-#: Probe reads drawn from the seeded plan at a time.
+SIZING = {"hall_chaos": Sizing(13.0, 2000),
+          "traffic": Sizing(10.5, 10000),
+          "twin": Sizing(14.0, 30000)}
+#: Probe reads drawn from the seeded plan, and scaled by one
+#: ``host_scale`` reading, at a time.
 PROBE_CHUNK = 1000
 #: ``Simulation.run`` is called once per equal stretch of simulated
 #: time; running to the horizon in steps processes the same events in
@@ -72,11 +75,13 @@ SLICES = 100
 
 @dataclasses.dataclass
 class Campaign:
-    """One world built and run to its horizon, then checked."""
+    """One world built and run to its horizon, then checked.  Times
+    are in reference-host seconds (:func:`perfbench.report.host_scale`).
+    """
 
     world: int
     setup_s: float
-    #: Wall seconds of each of the :data:`SLICES` equal stretches of
+    #: Seconds of each of the :data:`SLICES` equal stretches of
     #: simulated time ``Simulation.run`` was called for.
     slices: np.ndarray
     digest: str
@@ -102,9 +107,10 @@ def campaign(index: int, config: WorldConfig, probe_reads: int,
     gc.collect()
     installed = tracing.install(tracer) if tracer is not None else None
     try:
+        scale = host_scale()
         started = time.perf_counter()
         world = build_world(config)
-        setup_s = time.perf_counter() - started
+        setup_s = (time.perf_counter() - started) * scale
         # Subscribed before the run so the end-of-run SMI audit checks
         # the incremental tracker, not a fresh scan against itself.
         tracker = SmiTracker(world.topology)
@@ -114,9 +120,10 @@ def campaign(index: int, config: WorldConfig, probe_reads: int,
         slices = np.empty(SLICES)
         for piece, until in enumerate(np.linspace(
                 0.0, config.horizon_seconds, SLICES + 1)[1:]):
+            scale = host_scale()
             started = time.perf_counter()
             world.sim.run(until=float(until))
-            slices[piece] = time.perf_counter() - started
+            slices[piece] = (time.perf_counter() - started) * scale
     finally:
         if installed is not None:
             installed.remove()
@@ -164,12 +171,13 @@ async def _probe(world, tracker, rng, count: int,
     for first in range(0, count, PROBE_CHUNK):
         chunk = queries.plan(rng, min(PROBE_CHUNK, count - first),
                              queries.READS, 1)
+        scale = host_scale()
         for index, (kind, _, pick) in enumerate(chunk, first):
             started = time.perf_counter()
             outcome = await queries.ask(service, kind, 0,
                                         links[pick % len(links)],
                                         len(links))
-            latencies[index] = time.perf_counter() - started
+            latencies[index] = (time.perf_counter() - started) * scale
             if outcome != queries.OK:
                 problems.append(f"{kind} query answered {outcome}")
                 latencies[index] = float("inf")
@@ -204,11 +212,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
         outcome.record(item.problems)
     repeats = [[item for item in campaigns if item.world == index]
                for index in range(len(configs))]
-    # Each slice's fastest repeat: other tenants of a shared host only
-    # ever add time.  On a 2-core container the minimum of a CPU-bound
-    # loop held within 1% over minutes in which its median drifted by
-    # 12%, and per-slice minima reach that floor where whole-run minima,
-    # each averaging seconds of interference, do not.
+    # Each slice's fastest repeat.  The host scale follows phases of the
+    # host's speed; the minimum drops interference from other tenants
+    # that comes and goes within a slice, which only ever adds time.
     fastest = [np.min([item.slices for item in group], axis=0).sum()
                for group in repeats]
 
@@ -223,7 +229,11 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
                                          for item in campaigns),
             "peak_rss_mb": campaigns[0].rss_mb,
             "query_p50_ms": percentile_ms(latencies, 50),
-            "query_p99_ms": percentile_ms(latencies, 99),
+            # The median of each chunk's p99 (ten reads beyond it): a
+            # pooled p99 follows the few chunks a busy neighbour hit.
+            "query_p99_ms": statistics.median(
+                percentile_ms(latencies[first:first + PROBE_CHUNK], 99)
+                for first in range(0, len(latencies), PROBE_CHUNK)),
         }
         return outcome
 
@@ -248,6 +258,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
                    for group in repeats)
     metrics["trace.overhead_frac"] = (
         sum(item.slices.sum() for item in traced) / untraced - 1.0)
+    metrics["rss.growth_mb"] = campaigns[-1].rss_mb - campaigns[0].rss_mb
     outcome.metrics = metrics
     outcome.layer_split = tracing.layer_self_seconds(tracer.spans,
                                                      root="sim.run")

@@ -13,7 +13,14 @@ a verdict against the metric's bound from ``BENCHMARK.json``:
 
 Per-layer counts of the batch workloads are deterministic: for every
 (workload, seed) traced on both sides, each ``count`` metric must match
-exactly.  The exit code is 1 on any regression or count mismatch.
+exactly.
+
+Only runs of the same length and size compare: every record on both
+sides must carry one ``seconds`` and one ``tiny`` value.  A run on
+either side that failed its correctness checks, or a head workload that
+failed a larger share of its operations than the base, is a failure
+whatever the timings.  The exit code is 1 on a mismatched setting, a failed check,
+more failed operations, a regression or a count mismatch.
 """
 
 from __future__ import annotations
@@ -88,12 +95,60 @@ def count_mismatches(base: List[dict], head: List[dict],
     return problems
 
 
+def setting_problems(base: List[dict], head: List[dict]) -> List[str]:
+    """Both sides must have run at one ``--seconds`` and ``--tiny``."""
+    settings = {(record["seconds"], record["tiny"])
+                for record in base + head}
+    if len(settings) == 1:
+        return []
+    return [f"runs differ in (seconds, tiny): {sorted(settings)}"]
+
+
+def failure_problems(base: List[dict], head: List[dict],
+                     workloads: List[str]) -> List[str]:
+    """Runs on either side that failed a check, and head workloads
+    that failed a larger share of their operations than the base did."""
+    problems = [f"{side} {record['workload']} seed {record['seed']} "
+                f"trace {record['trace']}: correctness checks failed"
+                for side, records in (("base", base), ("head", head))
+                for record in records if not record["result"]["correct"]]
+
+    def failed_share(records, workload):
+        mine = [record["result"] for record in records
+                if record["workload"] == workload]
+        attempted = sum(result["attempted"] for result in mine)
+        failed = sum(result["failed"] for result in mine)
+        return failed, attempted
+
+    for workload in workloads:
+        base_failed, base_attempted = failed_share(base, workload)
+        head_failed, head_attempted = failed_share(head, workload)
+        if not head_attempted:
+            continue
+        if (head_failed * max(base_attempted, 1)
+                > base_failed * head_attempted):
+            problems.append(
+                f"head {workload}: {head_failed} of {head_attempted} "
+                f"operations failed, base {base_failed} of "
+                f"{base_attempted}")
+    return problems
+
+
 def compare(base_path: Path, head_path: Path, spec: dict) -> int:
     base, head = load(base_path), load(head_path)
+    workloads = [w["name"] for w in spec["workloads"]]
+    settings = setting_problems(base, head)
+    for line in settings:
+        print(f"not comparable: {line}")
+    if settings:
+        return 1
+    failures = failure_problems(base, head, workloads)
+    for line in failures:
+        print(f"failure: {line}")
     regressions = 0
     print(f"{'workload':10s} {'metric':15s} {'base q1/med/q3':>30s} "
           f"{'head q1/med/q3':>30s} {'worse':>8s} verdict")
-    for workload in [w["name"] for w in spec["workloads"]]:
+    for workload in workloads:
         for metric in spec["end_to_end"]:
             sides = [[r["result"]["metrics"][metric["name"]]["value"]
                       for r in records
@@ -114,4 +169,4 @@ def compare(base_path: Path, head_path: Path, spec: dict) -> int:
     mismatches = count_mismatches(base, head, units)
     for line in mismatches:
         print(f"count mismatch: {line}")
-    return 1 if regressions or mismatches else 0
+    return 1 if failures or regressions or mismatches else 0

@@ -11,14 +11,19 @@ import numpy as np
 from dcrobot.core.api import MaintenanceStatus
 from dcrobot.service import ServiceOverloadError, TelemetryReport
 
-#: Reads, weighted by share of requests.
+#: The read endpoints operators query, in equal shares.  No measured
+#: operator mix exists for this system, so no endpoint is weighted
+#: above another; the equal split is an assumption, not a measurement.
 READS: Tuple[Tuple[str, int], ...] = (
-    ("status", 20), ("smi", 15), ("link_health", 25), ("incident", 15),
-    ("planned_touches", 5))
-#: The served mix: the reads, ingest writes beside them, and about 1%
-#: urgent (HIGH priority) maintenance commands.
-SERVED: Tuple[Tuple[str, int], ...] = READS + (
-    ("telemetry", 19), ("command", 1))
+    ("status", 1), ("smi", 1), ("link_health", 1), ("incident", 1),
+    ("planned_touches", 1))
+#: Request kinds whose latency is query latency.
+READ_KINDS = frozenset(kind for kind, _ in READS)
+#: The served mix: the five reads and telemetry ingest in equal shares
+#: of 99% of requests (33 of 200 each), and 1% urgent (HIGH priority)
+#: maintenance commands (2 of 200).
+SERVED: Tuple[Tuple[str, int], ...] = tuple(
+    (kind, 33) for kind, _ in READS) + (("telemetry", 33), ("command", 2))
 
 OK, SHED, WRONG = "ok", "shed", "wrong"
 

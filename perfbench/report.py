@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import resource
+import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -36,12 +37,53 @@ class Outcome:
             self.problems.extend(problems)
 
 
+#: What :func:`reference_seconds` reads on the 2-core 2 GHz x86
+#: container the benchmark was sized on, in its slower phase.  The
+#: end-to-end times are in seconds of a host running at this speed
+#: (all but the served ``sim_days_per_s``, which checks the wall pace).
+REFERENCE_SECONDS = 5e-4
+#: Iterations of the reference loop (about 0.5 ms).
+REFERENCE_LOOP = 5000
+
+
+def reference_seconds() -> float:
+    """Wall seconds of a fixed stretch of interpreter work, the fastest
+    of three tries.  It runs no dcrobot code, so no change to the program
+    moves it; only the speed of the host does."""
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        total = 0
+        for step in range(REFERENCE_LOOP):
+            total += step * step & 7
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def host_scale() -> float:
+    """The factor that turns wall seconds measured now into seconds of
+    the reference host.
+
+    The shared host's speed changes in phases of ten seconds or more:
+    a plain Python loop ran 1.6 times faster in some than in others,
+    and whole runs of one seed moved with it.  Each timed stretch is
+    scaled by the reference loop timed just before it.  On ten seeds of
+    the traffic workload this cut the spread of ``sim_days_per_s`` from
+    0.32-0.45 to 0.148-0.162 sim-day/s.
+    """
+    return REFERENCE_SECONDS / reference_seconds()
+
+
 def peak_rss_mb() -> float:
     """Peak resident set of this process so far (Linux reports KiB).
 
     Runs report it as of their first campaign or session: later ones
     build into a heap fragmented by the earlier worlds, which made the
     whole-process peak jump by about 10% on some seeds and not others.
+    Growth that carries from one world to the next (a module-level
+    cache that keeps filling, say) is therefore not in ``peak_rss_mb``;
+    traced runs report it as ``rss.growth_mb``, the peak after the last
+    untraced campaign or session minus the peak after the first.
     """
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 

@@ -10,6 +10,8 @@ A run prints each metric by name and unit, then, as its last line, one
 JSON object: ``correct``, ``attempted``, ``failed`` and ``metrics``.
 With ``--trace 0`` the metrics are the end-to-end metrics of
 ``BENCHMARK.json``; with ``--trace 1`` they are its per-layer metrics.
+The exit code is 1 when a correctness check failed (the result line is
+still printed, with ``correct`` false).
 Run it from the root of a source checkout: it imports ``src/dcrobot``.
 """
 
@@ -103,7 +105,7 @@ def main(argv=None) -> int:
                 "seconds": args.seconds, "trace": args.trace,
                 "tiny": args.tiny, "result": result}) + "\n")
     print(json.dumps(result))
-    return 0
+    return 1 if outcome.problems else 0
 
 
 if __name__ == "__main__":
