@@ -2,8 +2,9 @@
 ``Simulation.run`` to the horizon, as a researcher's experiment runs it.
 
 Only ``Simulation.run`` is timed for ``sim_days_per_s`` and only
-``build_world`` for ``setup_s``.  The checks and the idle-plane query
-probe run after the clock stops.
+``build_world`` for ``setup_s``.  The idle-plane query probe runs at
+checkpoints of the run, between timed stretches, and the checks after
+the run.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class Sizing:
     #: included) on a 2-core 2 GHz x86 container shared with other
     #: tenants, measured in one of its slow stretches.
     round_seconds: float
-    #: Reads sent to each finished world: about 0.4 to 0.6 s of
+    #: Reads sent to each world over its run: about 0.4 to 0.6 s of
     #: probing, and at least 20 reads beyond the p99.  A read costs
     #: 0.29 ms on average at k=16, 0.038 ms at k=8 and 0.013 ms at
     #: k=4, most of it in ``planned_touches``.
@@ -64,13 +65,19 @@ class Sizing:
 SIZING = {"hall_chaos": Sizing(13.0, 2000),
           "traffic": Sizing(10.5, 10000),
           "twin": Sizing(14.0, 30000)}
-#: Probe reads drawn from the seeded plan, and scaled by one
-#: ``host_scale`` reading, at a time.
+#: Consecutive probe reads per chunk for the p99 (ten reads beyond it).
 PROBE_CHUNK = 1000
 #: ``Simulation.run`` is called once per equal stretch of simulated
 #: time; running to the horizon in steps processes the same events in
 #: the same order (the service bridge relies on it too).
 SLICES = 100
+#: Checkpoints of the run, every ``SLICES // PROBE_POINTS`` stretches,
+#: at which an equal share of the probe reads is sent with the sim
+#: idle.  The shared host's speed wanders within a second: two probes
+#: of one finished world two seconds apart read p50s up to 1.5 times
+#: apart.  Spread over ten moments per campaign, the probe averages
+#: that wander out of each chunk.
+PROBE_POINTS = 10
 
 
 @dataclasses.dataclass
@@ -86,6 +93,7 @@ class Campaign:
     slices: np.ndarray
     digest: str
     problems: List[str]
+    #: Probe read latencies, in the order sent (none when traced).
     latencies: np.ndarray
     #: Peak RSS of the process when this campaign ended.
     rss_mb: float
@@ -105,7 +113,11 @@ def campaign(index: int, config: WorldConfig, probe_reads: int,
     # The previous campaign's world is garbage by now; collecting it
     # here keeps its cycles out of this campaign's timings and peak RSS.
     gc.collect()
+    problems: List[str] = []
+    latencies: List[np.ndarray] = []
+    rng = np.random.default_rng(config.seed)
     installed = tracing.install(tracer) if tracer is not None else None
+    loop = asyncio.new_event_loop()
     try:
         scale = host_scale()
         started = time.perf_counter()
@@ -114,6 +126,9 @@ def campaign(index: int, config: WorldConfig, probe_reads: int,
         # Subscribed before the run so the end-of-run SMI audit checks
         # the incremental tracker, not a fresh scan against itself.
         tracker = SmiTracker(world.topology)
+        service = MaintenanceService(world, ServiceConfig(admission=None),
+                                     smi_trackers={0: tracker})
+        links = list(world.fabric.links)
         fabric = world.fabric
         transceivers = sum(fabric.spare_transceivers.values())
         cables = fabric.spare_cables
@@ -124,23 +139,28 @@ def campaign(index: int, config: WorldConfig, probe_reads: int,
             started = time.perf_counter()
             world.sim.run(until=float(until))
             slices[piece] = (time.perf_counter() - started) * scale
+            # Traced campaigns do not probe: their spans must all sit
+            # under ``sim.run``.
+            if tracer is None and probe_reads and (piece + 1) % (
+                    SLICES // PROBE_POINTS) == 0:
+                latencies.append(loop.run_until_complete(_probe(
+                    service, links, rng, probe_reads // PROBE_POINTS,
+                    problems)))
     finally:
+        loop.close()
         if installed is not None:
             installed.remove()
     world.spares_consumed_transceivers = (
         transceivers - sum(fabric.spare_transceivers.values()))
     world.spares_consumed_cables = cables - fabric.spare_cables
     summary = summarize_world(world)
-    problems = []
     if summary.invariant_violations:
         problems.append(f"{summary.invariant_violations} safety "
                         f"violations: {summary.violations_by_kind}")
     if summary.robot_zombie_accepted:
         problems.append(f"{summary.robot_zombie_accepted} zombie acks "
                         f"accepted")
-    latencies = asyncio.run(_probe(
-        world, tracker, np.random.default_rng(config.seed),
-        probe_reads, problems))
+    asyncio.run(_audit(service, problems))
     gate = world.impact_gate
     counts = {
         "chaos.faults": (sum(world.chaos_engine.summary().values())
@@ -150,38 +170,39 @@ def campaign(index: int, config: WorldConfig, probe_reads: int,
         "core.impact.deferrals": gate.deferrals if gate else 0,
     }
     return Campaign(index, setup_s, slices, summary_digest(summary),
-                    problems, latencies, peak_rss_mb(), counts)
+                    problems, np.concatenate(latencies or [np.empty(0)]),
+                    peak_rss_mb(), counts)
 
 
-async def _probe(world, tracker, rng, count: int,
+async def _probe(service, links, rng, count: int,
                  problems: List[str]) -> np.ndarray:
-    """Audit the finished world through the service endpoints, then
-    time a closed loop of reads against it with the sim idle."""
-    service = MaintenanceService(world, ServiceConfig(admission=None),
-                                 smi_trackers={0: tracker})
+    """Time a closed loop of ``count`` reads against the world as the
+    last stretch of the run left it, with the sim idle."""
     # Serving to "now" runs no event; it refreshes the read model.
-    await service.serve(world.sim.now)
+    await service.serve(service.bridge.sim_now)
+    reads = queries.plan(rng, count, queries.READS, 1)
+    latencies = np.empty(count)
+    scale = host_scale()
+    for index, (kind, _, pick) in enumerate(reads):
+        started = time.perf_counter()
+        outcome = await queries.ask(service, kind, 0,
+                                    links[pick % len(links)], len(links))
+        latencies[index] = (time.perf_counter() - started) * scale
+        if outcome != queries.OK:
+            problems.append(f"{kind} query answered {outcome}")
+            latencies[index] = float("inf")
+    return latencies
+
+
+async def _audit(service, problems: List[str]) -> None:
+    """Status and SMI parity of the finished world against the
+    full-scan oracles."""
+    await service.serve(service.bridge.sim_now)
     try:
         await service.status(audit=True)
         await service.smi(audit=True)
     except ReadModelParityError as error:
         problems.append(f"parity: {error}")
-    links = list(world.fabric.links)
-    latencies = np.empty(count)
-    for first in range(0, count, PROBE_CHUNK):
-        chunk = queries.plan(rng, min(PROBE_CHUNK, count - first),
-                             queries.READS, 1)
-        scale = host_scale()
-        for index, (kind, _, pick) in enumerate(chunk, first):
-            started = time.perf_counter()
-            outcome = await queries.ask(service, kind, 0,
-                                        links[pick % len(links)],
-                                        len(links))
-            latencies[index] = (time.perf_counter() - started) * scale
-            if outcome != queries.OK:
-                problems.append(f"{kind} query answered {outcome}")
-                latencies[index] = float("inf")
-    return latencies
 
 
 def run(workload: str, seed: int, seconds: float, trace: bool,
@@ -197,6 +218,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
     rounds = max(2, round(seconds / sizing.round_seconds))
     if trace:
         rounds = max(1, rounds // 2)
+        # Traced campaigns do not probe, so their baseline does not
+        # either.
+        probe_reads = 0
     campaigns = [campaign(index, config, probe_reads)
                  for _ in range(rounds)
                  for index, config in enumerate(configs)]

@@ -47,17 +47,16 @@ REFERENCE_LOOP = 5000
 
 
 def reference_seconds() -> float:
-    """Wall seconds of a fixed stretch of interpreter work, the fastest
-    of three tries.  It runs no dcrobot code, so no change to the program
-    moves it; only the speed of the host does."""
-    best = float("inf")
-    for _ in range(3):
-        started = time.perf_counter()
-        total = 0
-        for step in range(REFERENCE_LOOP):
-            total += step * step & 7
-        best = min(best, time.perf_counter() - started)
-    return best
+    """Thread CPU seconds of a fixed stretch of interpreter work.  It
+    runs no dcrobot code, so no change to the program moves it; only
+    the speed of the host does.  CPU time leaves out the time the
+    hypervisor gives this vCPU to other tenants, so one pass needs no
+    retries."""
+    started = time.thread_time()
+    total = 0
+    for step in range(REFERENCE_LOOP):
+        total += step * step & 7
+    return time.thread_time() - started
 
 
 def host_scale() -> float:
@@ -69,7 +68,8 @@ def host_scale() -> float:
     and whole runs of one seed moved with it.  Each timed stretch is
     scaled by the reference loop timed just before it.  On ten seeds of
     the traffic workload this cut the spread of ``sim_days_per_s`` from
-    0.32-0.45 to 0.148-0.162 sim-day/s.
+    0.32-0.45 to 0.148-0.162 sim-day/s.  The stretch stays in wall
+    time; only the reference is read in CPU time.
     """
     return REFERENCE_SECONDS / reference_seconds()
 

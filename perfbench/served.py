@@ -7,9 +7,9 @@ against got faster or slower, and the offered load would no longer be
 the same input on both sides of a comparison.  Every request is timed
 from when it was due, not from when it was sent, so a bridge slice that
 holds the event loop shows up in the latency of every request it
-delayed.  Time the host held the loop off the CPU (hypervisor steal)
-is taken out again; see :class:`LoopDelays`.  One process and
-no threads keep the load within a two-core machine.
+delayed.  Time the host held the loop off the CPU (hypervisor steal,
+late wake-ups) is taken out again; see :class:`LoopDelays`.  One
+process and no threads keep the load within a two-core machine.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import gc
+import math
 import selectors
 import statistics
 import time
@@ -33,10 +34,12 @@ from dcrobot.service import (
 )
 from perfbench import queries, tracer as tracing
 from perfbench.report import (
+    REFERENCE_SECONDS,
     Outcome,
     host_scale,
     peak_rss_mb,
     percentile_ms,
+    reference_seconds,
 )
 from perfbench.worlds import served as served_config, world_seeds
 
@@ -81,9 +84,9 @@ class Session:
     wall_s: float
     sim_days: float
     #: Per query (read) request, in due order: due -> answered in wall
-    #: seconds less steal (:class:`LoopDelays`), +inf if shed or wrong.
-    #: Ingest and commands are not queries; they count only through
-    #: ``failed``.
+    #: seconds less host delays (:class:`LoopDelays`), scaled to the
+    #: reference host; +inf if shed or wrong.  Ingest and commands are
+    #: not queries; they count only through ``failed``.
     latencies: np.ndarray
     #: Requests of every kind sent.
     requests: int
@@ -116,6 +119,11 @@ def session(world_seed: int, serve_seconds: float, rate: float,
         requests = queries.plan(np.random.default_rng(world_seed),
                                 int(rate * serve_seconds), queries.SERVED,
                                 config.halls)
+        # The host's speed, read in CPU time after every round of
+        # slices: the rounds are what set the tail (see run()).
+        readings = []
+        served.service.bridge.add_slice_hook(
+            lambda sim_now: readings.append(reference_seconds()))
         delays = LoopDelays()
         loop = asyncio.SelectorEventLoop(delays)
         try:
@@ -123,6 +131,7 @@ def session(world_seed: int, serve_seconds: float, rate: float,
                 _drive(served, requests, rate, delays))
         finally:
             loop.close()
+        scale = REFERENCE_SECONDS / statistics.median(readings)
         campus = served.summarize()
     finally:
         if installed is not None:
@@ -163,7 +172,8 @@ def session(world_seed: int, serve_seconds: float, rate: float,
     due = np.asarray(record["due"])[reads]
     answered = np.asarray(record["answered"])[reads]
     latencies = ((answered - due)
-                 - (delays.delayed_at(answered) - delays.delayed_at(due)))
+                 - (delays.delayed_at(answered) - delays.delayed_at(due))
+                 ) * scale
     return Session(setups, record["wall"], bridge.sim_now / 86400.0,
                    latencies, len(requests),
                    record["shed"] + record["wrong"], problems, stats,
@@ -172,23 +182,28 @@ def session(world_seed: int, serve_seconds: float, rate: float,
 
 class LoopDelays(selectors.DefaultSelector):
     """The client's event-loop selector, which also logs the wall time
-    the host held the loop off the CPU while the loop had work.
+    the host held the loop off the CPU.
 
     Between two waits in :meth:`select` the loop's one thread always
     has work: a bridge slice, a handler, the generator.  Wall time there
     that is not thread CPU time is time the hypervisor gave this vCPU to
     another tenant (steal).  On the shared 2-core host it made the
     bridge's rounds of slices 0% to 75% longer in wall time than in CPU
-    time, session by session, and moved the p99 with it.  A request's
-    latency is its wall time less the steal logged between its due time
-    and its answer.  Waits are left as they are, late wake-ups included:
-    they are part of the wall time from due to answer, and steady.
+    time, session by session, and moved the p99 with it.  A wait that
+    ends by its timeout should end when the timeout, rounded up to
+    whole milliseconds as epoll waits, runs out; the loop wakes later
+    than that by however long the host takes to run the vCPU again,
+    0.1 ms typically and over 3 ms one time in a hundred, and more
+    while other tenants are busy.  That is logged too.  A request's
+    latency is its wall time less what was logged between its due time
+    and its answer.  The rounding itself is left in: it is the
+    client's, and steady.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        #: Wall clock at each wait's start and end, and the steal
-        #: summed up to then.
+        #: Wall clock at each wait's start and end (and at each late
+        #: wake-up's deadline), and the delay summed up to then.
         self.walls: List[float] = []
         self.delays: List[float] = []
         self._total = 0.0
@@ -210,14 +225,20 @@ class LoopDelays(selectors.DefaultSelector):
 
     def select(self, timeout=None):
         self.mark()
-        try:
-            return super().select(timeout)
-        finally:
-            self._resume()
+        ready = super().select(timeout)
+        if not ready and timeout is not None and timeout > 0:
+            deadline = self._wall + math.ceil(timeout * 1e3) * 1e-3
+            late = time.perf_counter() - deadline
+            if late > 0:
+                self.walls.append(deadline)
+                self.delays.append(self._total)
+                self._total += late
+        self._resume()
+        return ready
 
     def delayed_at(self, walls: np.ndarray) -> np.ndarray:
-        """Steal summed up to each wall time, spread evenly over the
-        busy stretch the time falls in."""
+        """Delay summed up to each wall time, spread evenly over the
+        stretch the time falls in."""
         return np.interp(walls, self.walls, self.delays)
 
 

@@ -1,7 +1,9 @@
-"""The served client's steal log: time the thread is off the CPU while
-the loop has work counts, a wait does not."""
+"""The served client's delay log: time the thread is off the CPU while
+the loop has work counts, and so does a wake-up later than the wait's
+timeout; a wait itself does not."""
 
 import asyncio
+import selectors
 import sys
 import time
 from pathlib import Path
@@ -50,3 +52,26 @@ def test_delays_are_spread_over_the_stretch_they_fell_in():
     delays.delays = [0.0, 0.0, 0.5, 0.5]
     assert np.allclose(delays.delayed_at(np.array([0.5, 1.5, 2.5, 9.0])),
                        [0.0, 0.25, 0.5, 0.5])
+
+
+def test_a_late_wake_up_counts(monkeypatch):
+    # The host runs the vCPU again 30 ms after a 10-ms wait ran out.
+    def oversleep(self, timeout=None):
+        time.sleep(timeout + 0.03)
+        return []
+
+    delays = LoopDelays()
+    monkeypatch.setattr(selectors.DefaultSelector, "select", oversleep)
+    delays.select(0.01)
+    assert 0.025 <= delays.delays[-1] <= 0.2
+
+
+def test_a_wait_ended_by_a_ready_event_does_not_count(monkeypatch):
+    def ready(self, timeout=None):
+        time.sleep(0.03)
+        return [("key", 1)]
+
+    delays = LoopDelays()
+    monkeypatch.setattr(selectors.DefaultSelector, "select", ready)
+    delays.select(0.001)
+    assert delays.delays[-1] < 0.02
