@@ -8,6 +8,11 @@ bench (``benchmarks/bench_traffic_scale.py``) compare against.  Every
 float expression here is shared with, or ordered identically to, the
 vectorized kernels in :class:`~dcrobot.traffic.state.TrafficState`, so
 agreement is bit-for-bit, not approximate.
+
+:func:`sibling_index` and :func:`projected_group_utilization` are the
+whole-index oracle for the congestion gate's per-row sibling lookup
+(``TrafficState._siblings_of``): they rebuild every row's ECMP fan from
+the engine's resolved pairs, one pair and hop at a time.
 """
 
 from __future__ import annotations
@@ -158,3 +163,46 @@ class LegacyTrafficModel:
                                   offered=offered,
                                   congestion=congestion,
                                   window_seconds=window_seconds)
+
+
+def sibling_index(traffic) -> Dict[int, set]:
+    """Row -> every row sharing a (resolved pair, hop) fan with it
+    (itself included), over ``traffic``'s current member resolution."""
+    big = traffic._assembled_big()
+    index: Dict[int, set] = {}
+    for slot in traffic._slot_of.values():
+        members = traffic._slot_members[slot]
+        if not members:
+            continue
+        offset = traffic._slot_offset[slot]
+        rows = big[offset:offset + members, :traffic._slot_hops[slot]]
+        for hop in range(rows.shape[1]):
+            fan = set(int(r) for r in np.unique(rows[:, hop]))
+            for member_row in fan:
+                index.setdefault(member_row, set()).update(fan)
+    return index
+
+
+def projected_group_utilization(traffic, index: Dict[int, set],
+                                link_id: str) -> float:
+    """``TrafficState.projected_group_utilization`` over a
+    :func:`sibling_index` of ``traffic``; call the engine's own method
+    first so both read the same member resolution."""
+    row = traffic.fabric.state.index_of.get(link_id)
+    if row is None or traffic.last_offered is None \
+            or row >= len(traffic.last_offered):
+        return 0.0
+    siblings = set(index.get(row, ()))
+    siblings.discard(row)
+    target_bytes = float(traffic.last_offered[row])
+    if not siblings:
+        return 0.0 if target_bytes == 0.0 else float("inf")
+    sibling_rows = np.fromiter(siblings, dtype=np.int64)
+    capacity_bytes = float(
+        (traffic._caps[sibling_rows] * 1e9 / 8.0
+         * traffic.last_window_seconds).sum())
+    if capacity_bytes == 0.0:
+        return float("inf")
+    moved = float(traffic.last_offered[sibling_rows].sum()) \
+        + target_bytes
+    return moved / capacity_bytes

@@ -30,9 +30,18 @@ Three structural ideas make it fast without changing the physics:
   with the :class:`~dcrobot.traffic.legacy.LegacyTrafficModel` oracle.
 
 Path enumeration follows the shared lexicographic spec in
-:func:`dcrobot.traffic.routing.lexicographic_shortest_paths`; member
-selection per hop reproduces ``links_on_path`` (least-lossy usable
-parallel link, insertion order breaking ties); FCT sampling reproduces
+:func:`dcrobot.traffic.routing.lexicographic_shortest_paths`, from one
+BFS per *destination* per routing epoch: a DFS over sorted neighbors
+steps from ``node`` to ``step`` iff ``d(step, dst) == d(node, dst) - 1``.
+The spec's two tests (``d(src, step) == d(src, node) + 1`` and
+``d(step, dst) == total - d(src, node) - 1``) accept exactly the same
+steps in an undirected graph: on a shortest path ``d(node, dst) ==
+total - d(src, node)``, and the triangle inequality forces
+``d(src, step) == d(src, node) + 1`` once ``d(step, dst)`` is one less.
+So the lexicographic order and the cap are the spec's, and every
+source reuses the destination's distances.  Member selection per hop
+reproduces ``links_on_path`` (least-lossy usable parallel link,
+insertion order breaking ties); FCT sampling reproduces
 ``LatencyModel.sample_fct`` including RNG stream order (retry draws
 only for lossy routable flows, in flow order).
 """
@@ -158,7 +167,8 @@ class TrafficState:
         (structure is only re-read if the twin's generation moves).
         The fork shares every immutable routing artifact with the
         parent — structure snapshots, usable adjacency, twin classes,
-        and the expensive per-class-pair path-interior cache — and
+        per-destination distances and the expensive per-class-pair
+        path-interior cache — and
         resets only the loss-dependent member resolution, which is
         rebuilt lazily per side.  Cumulative accounting columns start
         at zero on the twin (they join the *forked* state's consumer
@@ -195,12 +205,12 @@ class TrafficState:
         twin._structure_gen = self._structure_gen
         # Routing artifacts (each side replaces, never mutates, these
         # on its own rebuild; cache fills into the shared interiors
-        # dict are value-identical on both sides).
+        # and distance dicts are value-identical on both sides).
         twin._usable = self._usable
-        twin._adj_indptr = self._adj_indptr
-        twin._adj_indices = self._adj_indices
+        twin._neighbors = self._neighbors
         twin._class_of = self._class_of
         twin._class_interiors = self._class_interiors
+        twin._dist_to = self._dist_to
         twin._route_key = self._route_key
         # Member resolution depends on live loss rates: always rebuilt.
         twin._reset_resolution()
@@ -258,36 +268,34 @@ class TrafficState:
                 if row is not None:
                     usable[row] = False
         self._usable = usable
-        # Simple usable adjacency as CSR over node ints; node ints are
-        # assigned in sorted-id order, so ascending ints == the object
-        # router's lexicographic neighbor order.
+        # Simple usable adjacency: sorted distinct neighbors per node,
+        # as Python ints.  Node ints are assigned in sorted-id order, so
+        # ascending ints == the object router's lexicographic neighbor
+        # order.
         u = self._row_u[:n][usable]
         v = self._row_v[:n][usable]
         heads = np.concatenate([u, v])
         tails = np.concatenate([v, u])
         edge_keys = np.unique(heads * self.n_nodes + tails)
-        heads = edge_keys // self.n_nodes
-        tails = edge_keys % self.n_nodes
-        counts = np.bincount(heads, minlength=self.n_nodes)
-        self._adj_indptr = np.concatenate(
-            [[0], np.cumsum(counts)]).astype(np.int64)
-        self._adj_indices = tails
+        indptr = np.searchsorted(edge_keys // self.n_nodes,
+                                 np.arange(self.n_nodes + 1)).tolist()
+        indices = (edge_keys % self.n_nodes).tolist()
+        self._neighbors = [indices[indptr[node]:indptr[node + 1]]
+                           for node in range(self.n_nodes)]
         # Twin classes: identical usable-neighbor sets.
         signatures: Dict[tuple, int] = {}
         class_of = np.empty(self.n_nodes, dtype=np.int64)
-        for node in range(self.n_nodes):
-            lo, hi = self._adj_indptr[node], self._adj_indptr[node + 1]
-            signature = tuple(self._adj_indices[lo:hi])
+        for node, peers in enumerate(self._neighbors):
             class_of[node] = signatures.setdefault(
-                signature, len(signatures))
+                tuple(peers), len(signatures))
         self._class_of = class_of
         self._class_interiors: Dict = {}
+        #: Per-destination BFS hop distances, filled on first use.
+        self._dist_to: Dict[int, List[int]] = {}
         self._reset_resolution()
 
     def _reset_resolution(self) -> None:
         """Drop loss-dependent member-to-row resolution."""
-        self._pair_rows: Dict[int, Optional[np.ndarray]] = {}
-        self._row_siblings: Optional[Dict[int, set]] = None
         #: Stacked member-row matrices, assembled lazily; slot 0 is the
         #: all-dummy row unroutable flows gather from.
         self._big_parts: List[np.ndarray] = []
@@ -334,12 +342,12 @@ class TrafficState:
     def _lex_paths(self, src: int, dst: int) -> List[List[int]]:
         """Shortest node-int paths, lexicographic, capped — the int
         twin of :func:`routing.lexicographic_shortest_paths`."""
-        indptr, indices = self._adj_indptr, self._adj_indices
-        dist_src = self._bfs(src)
-        total = dist_src[dst]
-        if total < 0:
+        dist = self._dist_to.get(dst)
+        if dist is None:
+            dist = self._dist_to[dst] = self._bfs(dst)
+        if dist[src] < 0:
             return []
-        dist_dst = self._bfs(dst)
+        neighbors = self._neighbors
         paths: List[List[int]] = []
         stack = [src]
         cap = self.max_equal_paths
@@ -348,12 +356,11 @@ class TrafficState:
             if node == dst:
                 paths.append(list(stack))
                 return len(paths) >= cap
-            here = dist_src[node]
-            for step in indices[indptr[node]:indptr[node + 1]]:
-                if dist_src[step] == here + 1 \
-                        and dist_dst[step] == total - here - 1:
-                    stack.append(int(step))
-                    if descend(int(step)):
+            nearer = dist[node] - 1
+            for step in neighbors[node]:
+                if dist[step] == nearer:
+                    stack.append(step)
+                    if descend(step):
                         return True
                     stack.pop()
             return False
@@ -361,19 +368,22 @@ class TrafficState:
         descend(src)
         return paths
 
-    def _bfs(self, origin: int) -> np.ndarray:
-        dist = np.full(self.n_nodes, -1, dtype=np.int64)
+    def _bfs(self, origin: int) -> List[int]:
+        """Hop distances from ``origin`` over usable adjacency (-1 where
+        unreachable)."""
+        neighbors = self._neighbors
+        dist = [-1] * self.n_nodes
         dist[origin] = 0
-        frontier = np.array([origin], dtype=np.int64)
+        frontier = [origin]
         depth = 0
-        indptr, indices = self._adj_indptr, self._adj_indices
-        while len(frontier):
+        while frontier:
             depth += 1
-            steps = np.concatenate(
-                [indices[indptr[node]:indptr[node + 1]]
-                 for node in frontier])
-            fresh = np.unique(steps[dist[steps] < 0])
-            dist[fresh] = depth
+            fresh = []
+            for node in frontier:
+                for step in neighbors[node]:
+                    if dist[step] < 0:
+                        dist[step] = depth
+                        fresh.append(step)
             frontier = fresh
         return dist
 
@@ -410,7 +420,6 @@ class TrafficState:
             self._resolve_class_group(new_keys[group], src[group],
                                       dst[group])
         self._slot_arrays = None
-        self._row_siblings = None
 
     def _resolve_class_group(self, keys: np.ndarray, src: np.ndarray,
                              dst: np.ndarray) -> None:
@@ -420,7 +429,6 @@ class TrafficState:
             interiors = self._interiors(int(src[0]), int(dst[0]))
         if interiors is _NO_ROUTE:
             for key in keys:
-                self._pair_rows[int(key)] = None
                 self._slot_of[int(key)] = 0
             return
         members, length = interiors.shape
@@ -441,7 +449,6 @@ class TrafficState:
         self._big_count += pairs * members
         slot = len(self._slot_offset)
         for i, key in enumerate(keys):
-            self._pair_rows[int(key)] = rows[i]
             self._slot_of[int(key)] = slot + i
             self._slot_offset.append(offset + i * members)
             self._slot_members.append(members)
@@ -462,6 +469,15 @@ class TrafficState:
                 cursor += part.shape[0]
             self._big_rows = big
         return self._big_rows
+
+    def _slot_table(self):
+        """Per-slot (big-matrix offset, members, hops) arrays."""
+        if self._slot_arrays is None:
+            self._slot_arrays = (
+                np.asarray(self._slot_offset, dtype=np.int64),
+                np.asarray(self._slot_members, dtype=np.int64),
+                np.asarray(self._slot_hops, dtype=np.int64))
+        return self._slot_arrays
 
     # -- the offered-window kernel ------------------------------------------
 
@@ -491,12 +507,7 @@ class TrafficState:
             dtype=bool, count=len(unique_keys))]
         if len(new_keys):
             self._resolve_missing(new_keys)
-        if self._slot_arrays is None:
-            self._slot_arrays = (
-                np.asarray(self._slot_offset, dtype=np.int64),
-                np.asarray(self._slot_members, dtype=np.int64),
-                np.asarray(self._slot_hops, dtype=np.int64))
-        slot_offset, slot_members, slot_hops = self._slot_arrays
+        slot_offset, slot_members, slot_hops = self._slot_table()
         slots = np.array([self._slot_of[int(key)]
                           for key in unique_keys],
                          dtype=np.int64)[inverse]
@@ -617,29 +628,35 @@ class TrafficState:
             return 0.0
         siblings = self._siblings_of(row)
         target_bytes = float(self.last_offered[row])
-        if not siblings:
+        if not len(siblings):
             return 0.0 if target_bytes == 0.0 else float("inf")
-        sibling_rows = np.fromiter(siblings, dtype=np.int64)
         capacity_bytes = float(
-            (self._caps[sibling_rows] * 1e9 / 8.0
+            (self._caps[siblings] * 1e9 / 8.0
              * self.last_window_seconds).sum())
         if capacity_bytes == 0.0:
             return float("inf")
-        moved = float(self.last_offered[sibling_rows].sum()) \
-            + target_bytes
+        moved = float(self.last_offered[siblings].sum()) + target_bytes
         return moved / capacity_bytes
 
-    def _siblings_of(self, row: int) -> set:
-        if self._row_siblings is None:
-            index: Dict[int, set] = {}
-            for rows in self._pair_rows.values():
-                if rows is None:
-                    continue
-                for hop in range(rows.shape[1]):
-                    fan = set(int(r) for r in np.unique(rows[:, hop]))
-                    for member_row in fan:
-                        index.setdefault(member_row, set()).update(fan)
-            self._row_siblings = index
-        siblings = set(self._row_siblings.get(row, ()))
-        siblings.discard(row)
-        return siblings
+    def _siblings_of(self, row: int) -> np.ndarray:
+        """Sorted rows that share a (resolved pair, hop) column of the
+        member matrix with ``row``, ``row`` itself excluded."""
+        big = self._assembled_big()
+        width = big.shape[1]
+        cells, hops = np.nonzero(big == row)
+        slot_offset, slot_members, _ = self._slot_table()
+        routed = slot_members > 0
+        starts = slot_offset[routed]
+        counts = slot_members[routed]
+        # The pair block each cell lies in; one gather per (pair, hop).
+        blocks = np.searchsorted(starts, cells, side="right") - 1
+        columns = np.unique(blocks * width + hops)
+        blocks, hops = columns // width, columns % width
+        sizes = counts[blocks]
+        ends = np.cumsum(sizes)
+        within = np.arange(ends[-1] if len(ends) else 0) \
+            - np.repeat(ends - sizes, sizes)
+        flat = np.repeat(starts[blocks] * width + hops, sizes) \
+            + within * width
+        siblings = np.unique(big.ravel()[flat])
+        return siblings[siblings != row]

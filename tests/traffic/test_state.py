@@ -153,7 +153,7 @@ def test_projected_group_utilization_spreads_over_fan(
         siblings = traffic._siblings_of(row)
         # Hop-position siblings of an uplink are the *other* uplinks
         # of the same ToR — never links elsewhere on the paths.
-        assert siblings == set(rows) - {row}
+        assert set(siblings.tolist()) == set(rows) - {row}
         projected = traffic.projected_group_utilization(link.id)
         expected = fan_bytes / (fan_caps - traffic._caps[row]
                                 * 1e9 / 8.0)
@@ -161,3 +161,54 @@ def test_projected_group_utilization_spreads_over_fan(
         # Concentrating the same bytes on fewer links runs hotter
         # than the group does today.
         assert projected > fan_bytes / fan_caps
+
+
+# -- work counts ------------------------------------------------------------
+
+def test_one_bfs_per_routing_epoch_and_destination(monkeypatch):
+    """A day of the E16 impact-aware world enumerates paths from at
+    most one BFS per (routing epoch, destination) — per-pair BFS would
+    repeat an origin within an epoch."""
+    from dcrobot.core.impact import ImpactConfig
+    from dcrobot.experiments.e16_traffic_maintenance import _arm_config
+    from dcrobot.experiments.runner import build_world
+
+    runs = []
+    bfs = TrafficState._bfs
+
+    def counted(self, origin):
+        runs.append((id(self), self._route_key, origin))
+        return bfs(self, origin)
+
+    monkeypatch.setattr(TrafficState, "_bfs", counted)
+    config = _arm_config(3, 1.0, ImpactConfig(
+        hot_utilization=0.7, max_defer_seconds=12 * 3600.0))
+    world = build_world(config)
+    assert config.topology_kwargs["k"] == 8
+    world.sim.run(until=config.horizon_seconds)
+    assert world.impact_gate.deferrals > 0
+    assert runs
+    assert len(set(runs)) == len(runs)
+    endpoints = set(world.traffic._endpoint_nodes.tolist())
+    assert {origin for _, _, origin in runs} <= endpoints
+
+
+def test_sibling_forks_share_fresh_routing_caches(traffic, topo, tors):
+    # Forked right after a routing rebuild, before any path query: one
+    # twin's BFS fills the shared distance cache, and the other twin
+    # must still enumerate paths from it.
+    from dcrobot.twin import TwinWorld
+
+    router = EcmpRouter(topo.fabric)
+    traffic.drain(topo.fabric.links_of(tors[0])[0].id)
+    router.drain(topo.fabric.links_of(tors[0])[0].id)
+    first = TwinWorld.fork(topo.fabric, traffic=traffic)
+    second = TwinWorld.fork(topo.fabric, traffic=traffic)
+    with first, second:
+        # Each engine asks from another source class, so every lookup
+        # after the first twin's reuses its distances, not its paths.
+        for src, engine in zip(tors, (first.traffic, second.traffic,
+                                      traffic)):
+            for dst in tors:
+                assert engine.equal_cost_paths(src, dst) \
+                    == router.equal_cost_paths(src, dst)
