@@ -133,6 +133,8 @@ class TrafficState:
         self.last_offered: Optional[np.ndarray] = None
         self.last_congestion: Optional[np.ndarray] = None
         self.last_window_seconds = 0.0
+        #: The last window's distinct (src, dst) endpoint-index pairs.
+        self._last_pairs = None
         self._structure_gen = -1
         self._route_key = None
         self._loss_snapshot: Optional[np.ndarray] = None
@@ -191,6 +193,7 @@ class TrafficState:
         twin.last_offered = None
         twin.last_congestion = None
         twin.last_window_seconds = 0.0
+        twin._last_pairs = None
         # Structure snapshot (read-only arrays, shared).
         twin._node_ids = self._node_ids
         twin._node_index = self._node_index
@@ -308,6 +311,8 @@ class TrafficState:
         self._slot_arrays = None
         self._loss_snapshot = None
         self._best_keys = None
+        #: Whether the last window's pairs hold slots in this resolution.
+        self._last_pairs_resolved = False
 
     def _check_loss_fresh(self) -> None:
         """Member choice depends on loss rates; re-resolve on change."""
@@ -403,6 +408,14 @@ class TrafficState:
                 interiors = interiors.reshape(len(paths), 0)
         self._class_interiors[key] = interiors
         return interiors
+
+    def _resolve_unseen(self, keys: np.ndarray) -> None:
+        """Resolve those of ``keys`` no slot holds yet."""
+        new_keys = keys[np.fromiter(
+            (int(key) not in self._slot_of for key in keys),
+            dtype=bool, count=len(keys))]
+        if len(new_keys):
+            self._resolve_missing(new_keys)
 
     def _resolve_missing(self, new_keys: np.ndarray) -> None:
         """Resolve a batch of unseen (src, dst) pairs to their ECMP
@@ -500,13 +513,9 @@ class TrafficState:
         src = self._endpoint_nodes[src_index]
         dst = self._endpoint_nodes[dst_index]
         pair_keys = src * self.n_nodes + dst
-        unique_keys, inverse = np.unique(pair_keys,
-                                         return_inverse=True)
-        new_keys = unique_keys[np.fromiter(
-            (int(key) not in self._slot_of for key in unique_keys),
-            dtype=bool, count=len(unique_keys))]
-        if len(new_keys):
-            self._resolve_missing(new_keys)
+        unique_keys, first, inverse = np.unique(
+            pair_keys, return_index=True, return_inverse=True)
+        self._resolve_unseen(unique_keys)
         slot_offset, slot_members, slot_hops = self._slot_table()
         slots = np.array([self._slot_of[int(key)]
                           for key in unique_keys],
@@ -569,6 +578,8 @@ class TrafficState:
         self.last_offered = offered
         self.last_congestion = congestion
         self.last_window_seconds = window_seconds
+        self._last_pairs = (src_index[first], dst_index[first])
+        self._last_pairs_resolved = True
         result = WindowResult(fct=fct, routable=routable,
                               offered=offered, congestion=congestion,
                               window_seconds=window_seconds)
@@ -618,7 +629,10 @@ class TrafficState:
         links elsewhere on the paths *lose* traffic under a drain and
         must not dilute the projection.  Returns 0.0 for links no
         observed traffic used, and ``inf`` when traffic used the link
-        but no sibling capacity exists.
+        but no sibling capacity exists.  The last window's pairs are
+        resolved under the current routing and loss first: a drain,
+        failure or loss change since that window drops the resolution,
+        and an empty one would report every used link as fan-less.
         """
         self._refresh()
         fs = self.fabric.state
@@ -626,6 +640,12 @@ class TrafficState:
         if row is None or self.last_offered is None \
                 or row >= len(self.last_offered):
             return 0.0
+        self._check_loss_fresh()
+        if not self._last_pairs_resolved:
+            src, dst = self._last_pairs
+            self._resolve_unseen(self._endpoint_nodes[src] * self.n_nodes
+                                 + self._endpoint_nodes[dst])
+            self._last_pairs_resolved = True
         siblings = self._siblings_of(row)
         target_bytes = float(self.last_offered[row])
         if not len(siblings):

@@ -163,6 +163,24 @@ def test_projected_group_utilization_spreads_over_fan(
         assert projected > fan_bytes / fan_caps
 
 
+
+def test_projection_survives_unrelated_drain(traffic, topo, tors):
+    # A drain after the window drops the member resolution; the gate
+    # must still see the hot ToR's uplink fan, not an empty one.
+    offer(traffic, np.random.default_rng(5), count=400,
+          window_seconds=1.0, src=0)
+    fs = topo.fabric.state
+    uplinks = topo.fabric.links_of(tors[0])
+    rows = [fs.index_of[link.id] for link in uplinks]
+    fan_bytes = float(traffic.last_offered[rows].sum())
+    fan_caps = float((traffic._caps[rows] * 1e9 / 8.0).sum())
+    traffic.drain(topo.fabric.links_of(tors[-1])[0].id)
+    link = uplinks[0]
+    projected = traffic.projected_group_utilization(link.id)
+    assert np.isfinite(projected)
+    assert projected == pytest.approx(
+        fan_bytes / (fan_caps - traffic._caps[rows[0]] * 1e9 / 8.0))
+
 # -- work counts ------------------------------------------------------------
 
 def test_one_bfs_per_routing_epoch_and_destination(monkeypatch):
