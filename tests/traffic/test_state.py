@@ -163,7 +163,6 @@ def test_projected_group_utilization_spreads_over_fan(
         assert projected > fan_bytes / fan_caps
 
 
-
 def test_projection_survives_unrelated_drain(traffic, topo, tors):
     # A drain after the window drops the member resolution; the gate
     # must still see the hot ToR's uplink fan, not an empty one.
@@ -180,6 +179,7 @@ def test_projection_survives_unrelated_drain(traffic, topo, tors):
     assert np.isfinite(projected)
     assert projected == pytest.approx(
         fan_bytes / (fan_caps - traffic._caps[rows[0]] * 1e9 / 8.0))
+
 
 # -- work counts ------------------------------------------------------------
 
