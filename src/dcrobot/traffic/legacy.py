@@ -169,13 +169,14 @@ def sibling_index(traffic) -> Dict[int, set]:
     """Row -> every row sharing a (resolved pair, hop) fan with it
     (itself included), over ``traffic``'s current member resolution."""
     big = traffic._assembled_big()
+    offsets, counts, hops = traffic._slot_table()
     index: Dict[int, set] = {}
-    for slot in traffic._slot_of.values():
-        members = traffic._slot_members[slot]
+    for slot in traffic._slot_of[traffic._slot_of >= 0].tolist():
+        members = int(counts[slot])
         if not members:
             continue
-        offset = traffic._slot_offset[slot]
-        rows = big[offset:offset + members, :traffic._slot_hops[slot]]
+        offset = int(offsets[slot])
+        rows = big[offset:offset + members, :int(hops[slot])]
         for hop in range(rows.shape[1]):
             fan = set(int(r) for r in np.unique(rows[:, hop]))
             for member_row in fan:

@@ -19,15 +19,20 @@ Three structural ideas make it fast without changing the physics:
   enumerated once per ``(src_class, dst_class)`` — interiors only —
   and endpoint members are substituted in, collapsing the per-pair
   cache of the object router to a per-class-pair cache.
-* **Generation-keyed invalidation.**  Instead of the object router's
-  manual ``invalidate()`` protocol, caches key on
+* **Scoped invalidation.**  Caches key on
   ``FabricState.route_generation`` (bumped on structural changes and
-  on carrier-crossing state transitions) plus a local drain epoch.
+  on carrier-crossing state transitions) plus a local drain epoch, but
+  a routing or loss change does not throw the pair resolution away:
+  the old member-row matrix and slot map become a *stash*, and a pair
+  asked for again copies its stashed rows when they are still exact
+  (see below) instead of enumerating its paths again.  A new
+  ``FabricState.generation`` renumbers rows and drops the stash too.
 * **Unbuffered accumulation.**  Per-link offered bytes and flow counts
-  are accumulated with ``np.add.at`` from flow-major flattened hop
-  arrays, which performs the same float additions in the same order as
-  the legacy per-flow loop — so utilization totals agree bit for bit
-  with the :class:`~dcrobot.traffic.legacy.LegacyTrafficModel` oracle.
+  are accumulated with ``np.bincount`` from flow-major flattened hop
+  arrays, which adds sequentially in input order — the same float
+  additions in the same order as the legacy per-flow loop — so
+  utilization totals agree bit for bit with the
+  :class:`~dcrobot.traffic.legacy.LegacyTrafficModel` oracle.
 
 Path enumeration follows the shared lexicographic spec in
 :func:`dcrobot.traffic.routing.lexicographic_shortest_paths`, from one
@@ -44,6 +49,21 @@ reproduces ``links_on_path`` (least-lossy usable parallel link,
 insertion order breaking ties); FCT sampling reproduces
 ``LatencyModel.sample_fct`` including RNG stream order (retry draws
 only for lossy routable flows, in flow order).
+
+A stashed pair ``(s, t)`` with old hop count ``L`` (``L`` infinite if
+it was unroutable) is copied only if (1) every member row is still the
+least-loss usable row of its node pair — so no member row went
+unusable or lost its choice to a parallel link — and (2) every node
+edge ``(u, v)`` that became usable has ``d(s,u)+1+d(v,t) > L`` and
+``d(s,v)+1+d(u,t) > L`` under the new distances, unreachable counting
+as infinite.  Then each old member path survives, so ``d(s, t)`` is
+unchanged; no path of length ``<= L`` uses a new edge, so the new
+shortest paths are a subset of the old ones that still holds every old
+member, and the lexicographic capped set and each hop's least-loss
+member are the same.  Only requested pairs are checked and copied, so
+the set of resolved pairs (which the congestion gate's sibling lookup
+reads) is exactly what a fresh resolution would hold.  Forks inherit
+their parent's resolution as their stash.
 """
 
 from __future__ import annotations
@@ -97,6 +117,20 @@ class WindowResult:
         return float(np.percentile(samples, q))
 
 
+@dataclasses.dataclass(frozen=True)
+class _Stash:
+    """A retired member resolution, read-only: its dense slot map, its
+    assembled member-row matrix and per-slot table, and the least-loss
+    row table (per node pair) it was resolved under."""
+
+    slot_of: np.ndarray
+    big: np.ndarray
+    offsets: np.ndarray
+    members: np.ndarray
+    hops: np.ndarray
+    best_keys: np.ndarray
+
+
 class TrafficState:
     """Struct-of-arrays traffic engine over one fabric.
 
@@ -138,6 +172,7 @@ class TrafficState:
         self._structure_gen = -1
         self._route_key = None
         self._loss_snapshot: Optional[np.ndarray] = None
+        self._stash: Optional[_Stash] = None
 
     # -- drains (administrative removal ahead of maintenance) ---------------
 
@@ -170,9 +205,10 @@ class TrafficState:
         The fork shares every immutable routing artifact with the
         parent — structure snapshots, usable adjacency, twin classes,
         per-destination distances and the expensive per-class-pair
-        path-interior cache — and
-        resets only the loss-dependent member resolution, which is
-        rebuilt lazily per side.  Cumulative accounting columns start
+        path-interior cache.  The twin starts with an empty member
+        resolution and takes the parent's (a copy of its slot map) as
+        its stash, so pairs a drain leaves alone are copied, not
+        enumerated again.  Cumulative accounting columns start
         at zero on the twin (they join the *forked* state's consumer
         column list, so the parent's accounting is untouched).
         """
@@ -215,7 +251,8 @@ class TrafficState:
         twin._class_interiors = self._class_interiors
         twin._dist_to = self._dist_to
         twin._route_key = self._route_key
-        # Member resolution depends on live loss rates: always rebuilt.
+        twin._stash = (self._retired(copy=True) if self._slot_count > 1
+                       else self._stash)
         twin._reset_resolution()
         return twin
 
@@ -257,10 +294,15 @@ class TrafficState:
             dtype=np.int64)
         self._structure_gen = fs.generation
         self._route_key = None
+        # Rows may have been renumbered: nothing stashed carries over.
+        self._stash = None
+        self._reset_resolution()
 
     def _rebuild_routing(self) -> None:
         """Usable-adjacency, twin classes, and cleared path caches (per
-        route_generation + drain epoch)."""
+        route_generation + drain epoch); the member resolution is
+        stashed first, while the old epoch's distances still stand."""
+        self._retire_resolution()
         fs = self.fabric.state
         n = fs.n_links
         usable = fs.state_code[:n] <= FLAPPING_CODE
@@ -295,7 +337,6 @@ class TrafficState:
         self._class_interiors: Dict = {}
         #: Per-destination BFS hop distances, filled on first use.
         self._dist_to: Dict[int, List[int]] = {}
-        self._reset_resolution()
 
     def _reset_resolution(self) -> None:
         """Drop loss-dependent member-to-row resolution."""
@@ -304,15 +345,40 @@ class TrafficState:
         self._big_parts: List[np.ndarray] = []
         self._big_count = 1
         self._big_rows: Optional[np.ndarray] = None
-        self._slot_of: Dict[int, int] = {}
-        self._slot_offset = [0]
-        self._slot_members = [0]
-        self._slot_hops = [0]
+        #: Slot per ``src * n_nodes + dst`` pair key (-1: unresolved).
+        self._slot_of = np.full(self.n_nodes * self.n_nodes, -1,
+                                dtype=np.int64)
+        #: Per-slot (big-matrix offset, members, hops) chunks.
+        self._slot_parts: List[tuple] = []
+        self._slot_count = 1
         self._slot_arrays = None
         self._loss_snapshot = None
         self._best_keys = None
         #: Whether the last window's pairs hold slots in this resolution.
         self._last_pairs_resolved = False
+
+    def _retired(self, copy: bool) -> _Stash:
+        """The current resolution as a read-only stash (``copy`` the
+        slot map when this engine keeps filling it)."""
+        offsets, members, hops = self._slot_table()
+        return _Stash(
+            slot_of=self._slot_of.copy() if copy else self._slot_of,
+            big=self._assembled_big(), offsets=offsets,
+            members=members, hops=hops, best_keys=self._best_keys)
+
+    def _retire_resolution(self) -> None:
+        """Stash the current resolution and reset.  The older stash's
+        pairs the current resolution never asked for are carried over
+        when still exact, so a pair skipped for a few epochs is not
+        enumerated again; an empty resolution leaves the older stash in
+        place."""
+        if self._slot_count > 1:
+            if self._stash is not None:
+                stashed = self._stash.slot_of >= 0
+                self._copy_stashed(np.nonzero(
+                    stashed & (self._slot_of < 0))[0])
+            self._stash = self._retired(copy=False)
+        self._reset_resolution()
 
     def _check_loss_fresh(self) -> None:
         """Member choice depends on loss rates; re-resolve on change."""
@@ -321,9 +387,10 @@ class TrafficState:
         if self._loss_snapshot is not None \
                 and np.array_equal(loss, self._loss_snapshot):
             return
-        self._reset_resolution()
+        self._retire_resolution()
         self._loss_snapshot = loss.copy()
         self._build_best_rows()
+        self._diff_stash()
 
     def _build_best_rows(self) -> None:
         """Per unordered node pair, the row ``links_on_path`` picks:
@@ -342,14 +409,26 @@ class TrafficState:
         self._best_keys = sorted_keys[first]
         self._best_rows = rows[order][first]
 
+    def _diff_stash(self) -> None:
+        """The stash's two validity inputs under the current least-loss
+        table: which rows are still chosen for their node pair, and
+        which node edges are new since the stash was resolved."""
+        if self._stash is None:
+            return
+        chosen = np.zeros(self.fabric.state.n_links + 1, dtype=bool)
+        chosen[self._best_rows] = True
+        chosen[-1] = True  # the dummy pad
+        self._chosen = chosen
+        self._new_edges = np.setdiff1d(self._best_keys,
+                                       self._stash.best_keys,
+                                       assume_unique=True)
+
     # -- path enumeration (shared lexicographic spec) -----------------------
 
     def _lex_paths(self, src: int, dst: int) -> List[List[int]]:
         """Shortest node-int paths, lexicographic, capped — the int
         twin of :func:`routing.lexicographic_shortest_paths`."""
-        dist = self._dist_to.get(dst)
-        if dist is None:
-            dist = self._dist_to[dst] = self._bfs(dst)
+        dist = self._distances(dst)
         if dist[src] < 0:
             return []
         neighbors = self._neighbors
@@ -372,6 +451,14 @@ class TrafficState:
 
         descend(src)
         return paths
+
+    def _distances(self, origin: int) -> List[int]:
+        """Hop distances from ``origin`` under the current routing
+        epoch, one BFS per origin per epoch."""
+        dist = self._dist_to.get(origin)
+        if dist is None:
+            dist = self._dist_to[origin] = self._bfs(origin)
+        return dist
 
     def _bfs(self, origin: int) -> List[int]:
         """Hop distances from ``origin`` over usable adjacency (-1 where
@@ -410,12 +497,84 @@ class TrafficState:
         return interiors
 
     def _resolve_unseen(self, keys: np.ndarray) -> None:
-        """Resolve those of ``keys`` no slot holds yet."""
-        new_keys = keys[np.fromiter(
-            (int(key) not in self._slot_of for key in keys),
-            dtype=bool, count=len(keys))]
-        if len(new_keys):
-            self._resolve_missing(new_keys)
+        """Resolve those of ``keys`` no slot holds yet: copy the ones
+        the stash still holds exactly, enumerate the rest."""
+        keys = keys[self._slot_of[keys] < 0]
+        if len(keys) and self._stash is not None:
+            keys = self._copy_stashed(keys)
+        if len(keys):
+            self._resolve_missing(keys)
+
+    def _copy_stashed(self, keys: np.ndarray) -> np.ndarray:
+        """Give every key whose stashed resolution is still exact a
+        slot holding a copy of it; returns the keys left to enumerate."""
+        stash = self._stash
+        slots = stash.slot_of[keys]
+        held = np.nonzero(slots >= 0)[0]
+        if not len(held):
+            return keys
+        valid = self._stash_valid(keys[held], slots[held])
+        take = held[valid]
+        if not len(take):
+            return keys
+        slots = slots[take]
+        members = stash.members[slots]
+        routed = members > 0
+        self._slot_of[keys[take[~routed]]] = 0
+        if routed.any():
+            members = members[routed]
+            hops = stash.hops[slots[routed]]
+            cells = _block_cells(stash.offsets[slots[routed]], members)
+            part = stash.big[cells, :int(hops.max())]
+            offsets = self._big_count + np.cumsum(members) - members
+            self._big_parts.append(part)
+            self._big_rows = None
+            self._big_count += len(part)
+            self._append_slots(keys[take[routed]], offsets, members,
+                               hops)
+        left = np.ones(len(keys), dtype=bool)
+        left[take] = False
+        return keys[left]
+
+    def _stash_valid(self, keys: np.ndarray,
+                     slots: np.ndarray) -> np.ndarray:
+        """Per stashed pair, whether its stashed member rows are what a
+        fresh resolution would build now (the module docstring's two
+        conditions)."""
+        stash = self._stash
+        members = stash.members[slots]
+        hops = stash.hops[slots]
+        valid = np.ones(len(keys), dtype=bool)
+        # (1) Every member row is still its node pair's chosen row.
+        routed = np.nonzero(members > 0)[0]
+        if len(routed):
+            counts = members[routed]
+            cells = _block_cells(stash.offsets[slots[routed]], counts)
+            kept = self._chosen[stash.big[cells]].all(axis=1)
+            valid[routed] = np.logical_and.reduceat(
+                kept, np.cumsum(counts) - counts)
+        # (2) No new node edge lies on an s-t walk of <= L hops.
+        edges = self._new_edges
+        check = np.nonzero(valid)[0]
+        if not len(edges) or not len(check):
+            return valid
+        n_nodes = self.n_nodes
+        src = keys[check] // n_nodes
+        dst = keys[check] % n_nodes
+        far = 4 * n_nodes  # unreachable; any sum holding it is > L
+        limit = np.where(members[check] > 0, hops[check], far - 1)
+        ends = np.unique(np.concatenate([src, dst]))
+        table = np.array([self._distances(end) for end in ends.tolist()],
+                         dtype=np.int64)
+        table[table < 0] = far
+        from_src = table[np.searchsorted(ends, src)]
+        to_dst = table[np.searchsorted(ends, dst)]
+        u, v = edges // n_nodes, edges % n_nodes
+        valid[check] = (
+            (from_src[:, u] + 1 + to_dst[:, v] > limit[:, None])
+            & (from_src[:, v] + 1 + to_dst[:, u] > limit[:, None])
+        ).all(axis=1)
+        return valid
 
     def _resolve_missing(self, new_keys: np.ndarray) -> None:
         """Resolve a batch of unseen (src, dst) pairs to their ECMP
@@ -432,7 +591,6 @@ class TrafficState:
         for group in np.split(order, boundaries):
             self._resolve_class_group(new_keys[group], src[group],
                                       dst[group])
-        self._slot_arrays = None
 
     def _resolve_class_group(self, keys: np.ndarray, src: np.ndarray,
                              dst: np.ndarray) -> None:
@@ -441,8 +599,7 @@ class TrafficState:
         if src[0] != dst[0]:
             interiors = self._interiors(int(src[0]), int(dst[0]))
         if interiors is _NO_ROUTE:
-            for key in keys:
-                self._slot_of[int(key)] = 0
+            self._slot_of[keys] = 0
             return
         members, length = interiors.shape
         pairs = len(keys)
@@ -460,12 +617,18 @@ class TrafficState:
         self._big_parts.append(rows.reshape(pairs * members, hops))
         self._big_rows = None
         self._big_count += pairs * members
-        slot = len(self._slot_offset)
-        for i, key in enumerate(keys):
-            self._slot_of[int(key)] = slot + i
-            self._slot_offset.append(offset + i * members)
-            self._slot_members.append(members)
-            self._slot_hops.append(hops)
+        self._append_slots(keys, offset + members * np.arange(pairs),
+                           np.full(pairs, members), np.full(pairs, hops))
+
+    def _append_slots(self, keys: np.ndarray, offsets: np.ndarray,
+                      members: np.ndarray, hops: np.ndarray) -> None:
+        """Give ``keys`` the next slots, in order (their blocks were
+        just appended to the member matrix, in the same order)."""
+        first = self._slot_count
+        self._slot_of[keys] = np.arange(first, first + len(keys))
+        self._slot_parts.append((offsets, members, hops))
+        self._slot_count += len(keys)
+        self._slot_arrays = None
 
     def _assembled_big(self) -> np.ndarray:
         """The stacked member-row matrix, padded to a common width."""
@@ -484,12 +647,15 @@ class TrafficState:
         return self._big_rows
 
     def _slot_table(self):
-        """Per-slot (big-matrix offset, members, hops) arrays."""
+        """Per-slot (big-matrix offset, members, hops) arrays; slot 0
+        is the unroutable dummy."""
         if self._slot_arrays is None:
-            self._slot_arrays = (
-                np.asarray(self._slot_offset, dtype=np.int64),
-                np.asarray(self._slot_members, dtype=np.int64),
-                np.asarray(self._slot_hops, dtype=np.int64))
+            zero = np.zeros(1, dtype=np.int64)
+            self._slot_arrays = tuple(
+                np.concatenate([zero] + [part[column] for part
+                                         in self._slot_parts])
+                .astype(np.int64, copy=False)
+                for column in range(3))
         return self._slot_arrays
 
     # -- the offered-window kernel ------------------------------------------
@@ -513,13 +679,10 @@ class TrafficState:
         src = self._endpoint_nodes[src_index]
         dst = self._endpoint_nodes[dst_index]
         pair_keys = src * self.n_nodes + dst
-        unique_keys, first, inverse = np.unique(
-            pair_keys, return_index=True, return_inverse=True)
+        unique_keys, first = np.unique(pair_keys, return_index=True)
         self._resolve_unseen(unique_keys)
         slot_offset, slot_members, slot_hops = self._slot_table()
-        slots = np.array([self._slot_of[int(key)]
-                          for key in unique_keys],
-                         dtype=np.int64)[inverse]
+        slots = self._slot_of[pair_keys]
         members = slot_members[slots]
         routable = members > 0
         member = np.zeros(count, dtype=np.int64)
@@ -528,15 +691,13 @@ class TrafficState:
         rows[~routable] = n  # dummy scratch slot
         hops = slot_hops[slots]
 
-        # Offered bytes + flow counts, flow-major so the unbuffered
-        # np.add.at performs the oracle's additions in its order.
+        # Offered bytes + flow counts, flow-major so bincount's
+        # sequential sums perform the oracle's additions in its order.
         width = rows.shape[1]
         flat = rows.ravel()
-        offered = np.zeros(n + 1)
-        np.add.at(offered, flat, np.repeat(sizes, width))
-        flow_counts = np.zeros(n + 1)
-        np.add.at(flow_counts, flat, 1.0)
-        offered = offered[:n]
+        offered = np.bincount(flat, weights=np.repeat(sizes, width),
+                              minlength=n + 1)[:n]
+        flow_counts = np.bincount(flat, minlength=n + 1)
         congestion = congestion_loss(offered, self._caps,
                                      window_seconds)
         loss = combined_loss(fs.loss_rate[:n], congestion)
@@ -680,3 +841,11 @@ class TrafficState:
             + within * width
         siblings = np.unique(big.ravel()[flat])
         return siblings[siblings != row]
+
+
+def _block_cells(offsets: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(o, o + c) for o, c in zip(...)])``,
+    vectorized: the member-matrix rows of consecutive pair blocks."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(offsets - (ends - counts),
+                                           counts)

@@ -11,7 +11,13 @@ failure and loss sequences:
   engine and on copy-on-write forks that drain on their own;
 * ``TrafficState._siblings_of`` equals the whole-index
   :func:`dcrobot.traffic.legacy.sibling_index` for every row, and the
-  projected group utilization agrees with the oracle's to 1e-12.
+  projected group utilization agrees with the oracle's to 1e-12;
+* every pair resolution copied from the stash (the resolution a
+  routing or loss change retired, or a fork's parent's) equals a
+  freshly built engine's on the same fabric state, and the resolved
+  pairs are exactly those requested since the last routing, loss or
+  structure change — on fat-trees and on a leaf-spine with parallel
+  links, where a loss change moves the least-loss member.
 """
 
 import math
@@ -21,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcrobot.network import LinkState, SwitchRole
-from dcrobot.topology import build_fattree
+from dcrobot.topology import build_fattree, build_leafspine
 from dcrobot.traffic import EcmpRouter, TrafficState, sample_sizes
 from dcrobot.traffic import legacy
 from dcrobot.twin import TwinWorld
@@ -164,3 +170,138 @@ def test_siblings_match_oracle(k, cap, seed, sequence):
         if op[2] % 2 == 0:
             offer(traffic, rng)
         assert_siblings_match(topology, traffic)
+
+
+# -- stashed resolutions vs a fresh engine -------------------------------------
+
+# As ``ops``, plus "reseat" (drain, offer, undrain: a robot's touch)
+# and "rewire" (a link is disconnected, renumbering rows).
+stash_ops = st.lists(
+    st.tuples(st.sampled_from(["drain", "undrain", "reseat", "state",
+                               "loss", "fork", "rewire"]),
+              st.integers(min_value=0, max_value=10_000),
+              st.integers(min_value=0, max_value=3)),
+    min_size=1, max_size=6)
+
+
+class Requests:
+    """The pairs an engine was asked for since it last had to drop its
+    resolution (a routing, drain, loss or structure change)."""
+
+    def __init__(self, traffic):
+        self.traffic = traffic
+        self.key = None
+        self.pairs = set()
+
+    def offer(self, rng, count=120):
+        traffic = self.traffic
+        fs = traffic.fabric.state
+        key = (fs.generation, fs.route_generation, traffic._drain_epoch,
+               fs.loss_rate[:fs.n_links].tobytes())
+        if key != self.key:
+            self.key = key
+            self.pairs = set()
+        n = len(traffic.endpoints)
+        src = rng.integers(n, size=count)
+        dst = rng.integers(n - 1, size=count)
+        dst = dst + (dst >= src)
+        traffic.offer_window(src, dst, sample_sizes(rng, count),
+                             rng.integers(1 << 30, size=count), 1.0)
+        nodes = traffic._endpoint_nodes
+        self.pairs |= set((nodes[src] * traffic.n_nodes
+                           + nodes[dst]).tolist())
+
+
+def member_rows(traffic, key):
+    offsets, members, hops = traffic._slot_table()
+    slot = traffic._slot_of[key]
+    offset = offsets[slot]
+    return traffic._assembled_big()[offset:offset + members[slot],
+                                    :hops[slot]]
+
+
+def assert_matches_fresh(requests):
+    traffic = requests.traffic
+    resolved = set(np.nonzero(traffic._slot_of >= 0)[0].tolist())
+    assert resolved == requests.pairs
+    fresh = TrafficState(traffic.fabric, traffic.endpoints,
+                         max_equal_paths=traffic.max_equal_paths)
+    for link_id in traffic.drained_links:
+        fresh.drain(link_id)
+    fresh._refresh()
+    fresh._check_loss_fresh()
+    keys = np.array(sorted(resolved), dtype=np.int64)
+    fresh._resolve_unseen(keys)
+    for key in keys.tolist():
+        assert np.array_equal(member_rows(traffic, key),
+                              member_rows(fresh, key)), key
+
+
+def run_stash_ops(topology, endpoints, cap, seed, sequence):
+    traffic = TrafficState(topology.fabric, endpoints,
+                           max_equal_paths=cap,
+                           rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    requests = Requests(traffic)
+    requests.offer(rng)
+    for clock, op in enumerate(sequence, start=1):
+        kind, index, value = op
+        links = sorted(topology.fabric.links)
+        link_id = links[index % len(links)]
+        if kind == "fork":
+            with TwinWorld.fork(topology.fabric, traffic=traffic,
+                                rng=np.random.default_rng(3)) as twin:
+                twin_requests = Requests(twin.traffic)
+                for step in range(value + 1):
+                    twin.drain(links[(index + 7 * step) % len(links)])
+                twin_requests.offer(rng)
+                assert_matches_fresh(twin_requests)
+        elif kind == "rewire":
+            if len(links) > 8:
+                topology.fabric.disconnect(link_id)
+        elif kind == "drain":
+            traffic.drain(link_id)
+        elif kind == "reseat":
+            traffic.drain(link_id)
+            requests.offer(rng)
+            assert_matches_fresh(requests)
+            traffic.undrain(link_id)
+        elif kind == "undrain":
+            drained = sorted(traffic.drained_links)
+            if drained:
+                traffic.undrain(drained[index % len(drained)])
+        elif kind == "state":
+            topology.fabric.links[link_id].set_state(float(clock),
+                                                     STATES[value])
+        else:
+            topology.fabric.state.loss_rate[
+                topology.fabric.links[link_id]._row] = value / 8.0
+        if value % 2:
+            # A second window after the change reads the resolution
+            # the first one filled (and adds to it).
+            requests.offer(rng)
+        requests.offer(rng)
+        assert_matches_fresh(requests)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([4, 8]), cap=st.sampled_from(CAPS),
+       seed=st.integers(min_value=0, max_value=2**16),
+       sequence=stash_ops)
+def test_stash_matches_fresh_fattree(k, cap, seed, sequence):
+    topology = build_fattree(k=k, rng=np.random.default_rng(seed))
+    run_stash_ops(topology, topology.switches(SwitchRole.TOR), cap,
+                  seed, sequence)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cap=st.sampled_from(CAPS),
+       seed=st.integers(min_value=0, max_value=2**16),
+       sequence=stash_ops)
+def test_stash_matches_fresh_parallel_links(cap, seed, sequence):
+    # Two links per leaf-spine pair: a loss change can hand a hop to
+    # the parallel link while every node edge stays usable.
+    topology = build_leafspine(leaves=4, spines=2, uplinks_per_pair=2,
+                               rng=np.random.default_rng(seed))
+    run_stash_ops(topology, topology.switches(SwitchRole.LEAF), cap,
+                  seed, sequence)

@@ -211,6 +211,38 @@ def test_one_bfs_per_routing_epoch_and_destination(monkeypatch):
     assert {origin for _, _, origin in runs} <= endpoints
 
 
+def test_stash_fills_most_pairs_after_rebuilds(monkeypatch):
+    """On the same E16 day, at most a quarter of the pairs the engine
+    fills are enumerated; the rest are copied from the resolution a
+    routing or loss change retired."""
+    from dcrobot.core.impact import ImpactConfig
+    from dcrobot.experiments.e16_traffic_maintenance import _arm_config
+    from dcrobot.experiments.runner import build_world
+
+    filled = {"all": 0, "enumerated": 0}
+    resolve_unseen = TrafficState._resolve_unseen
+    resolve_missing = TrafficState._resolve_missing
+
+    def unseen(self, keys):
+        before = int((self._slot_of >= 0).sum())
+        resolve_unseen(self, keys)
+        filled["all"] += int((self._slot_of >= 0).sum()) - before
+
+    def enumerated(self, keys):
+        filled["enumerated"] += len(keys)
+        resolve_missing(self, keys)
+
+    monkeypatch.setattr(TrafficState, "_resolve_unseen", unseen)
+    monkeypatch.setattr(TrafficState, "_resolve_missing", enumerated)
+    config = _arm_config(3, 1.0, ImpactConfig(
+        hot_utilization=0.7, max_defer_seconds=12 * 3600.0))
+    world = build_world(config)
+    world.sim.run(until=config.horizon_seconds)
+    assert world.impact_gate.deferrals > 0
+    assert filled["enumerated"] > 0
+    assert filled["enumerated"] <= 0.25 * filled["all"]
+
+
 def test_sibling_forks_share_fresh_routing_caches(traffic, topo, tors):
     # Forked right after a routing rebuild, before any path query: one
     # twin's BFS fills the shared distance cache, and the other twin
