@@ -11,9 +11,10 @@ the hot-utilization threshold.
 
 The gate is deliberately advisory and bounded: HIGH-priority repairs
 are exempt (a hard-down link is already worse than congestion), links
-that carry no traffic (DOWN / under maintenance) are never deferred
-(their bytes already moved), and after ``max_defer_seconds`` the work
-proceeds hot rather than starving.
+that carry no traffic (DOWN / under maintenance, or already drained in
+the traffic engine) are never deferred (their bytes already moved),
+and after ``max_defer_seconds`` the work proceeds hot rather than
+starving.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class CongestionGate:
         row = fs.index_of.get(link_id)
         if row is None:
             return False
-        if fs.state_code[row] > FLAPPING_CODE:
+        if fs.state_code[row] > FLAPPING_CODE \
+                or self.traffic.is_drained(link_id):
             # The link carries no traffic; its bytes already moved.
             return False
         utilization = self.projected_utilization(link_id)

@@ -190,7 +190,12 @@ class TrafficState:
 
     @property
     def drained_links(self) -> set:
+        """A copy of the drained link ids."""
         return set(self._drained)
+
+    def is_drained(self, link_id: str) -> bool:
+        """Whether ``link_id`` is drained out of routing."""
+        return link_id in self._drained
 
     # -- copy-on-write forking ----------------------------------------------
 

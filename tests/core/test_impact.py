@@ -72,6 +72,25 @@ def test_gate_defers_hot_links_only(topo, traffic):
     assert not gate.should_defer("no-such-link")
 
 
+def test_drained_link_is_not_deferred(topo, traffic):
+    # A link drained (by another work order) but still UP is out of
+    # every path: its last-window bytes have already moved, so the gate
+    # must not read it as a fan-less hot link.
+    gate = CongestionGate(traffic, ImpactConfig(hot_utilization=0.7))
+    offer_hot_window(traffic)
+    leaf = topo.switches(SwitchRole.LEAF)[0]
+    drained, last = topo.fabric.links_of(leaf)[:2]
+    traffic.drain(drained.id)
+    assert traffic.is_drained(drained.id)
+    assert not gate.should_defer(drained.id)
+    # The uplink left carrying the whole fan has no sibling capacity.
+    assert gate.projected_utilization(last.id) == float("inf")
+    assert gate.should_defer(last.id)
+    traffic.undrain(drained.id)
+    assert not traffic.is_drained(drained.id)
+    assert gate.should_defer(drained.id)
+
+
 def test_high_priority_is_exempt(topo, traffic):
     gate = CongestionGate(traffic, ImpactConfig(hot_utilization=0.7))
     offer_hot_window(traffic)
