@@ -4,6 +4,13 @@ The traffic-scale acceptance gate: :class:`TrafficState` must beat
 :class:`LegacyTrafficModel` by >=5x on the k=16 fat-tree (2048 links,
 128 ToR endpoints) while producing bit-identical per-flow FCTs and
 per-link utilization / congestion-loss totals on the shared seed.
+
+After the timed windows, the last window's pairs are offered again
+with one ToR uplink drained, then undrained.  Both engines stay bit
+for bit identical, and the columnar engine enumerates paths again only
+for the pairs whose member paths crossed that link: every other pair
+is copied from the resolution the drain (or undrain) retired.  That is
+a count, not a timing, so it holds on any host.
 """
 
 import numpy as np
@@ -61,6 +68,45 @@ def _run_pair():
             legacy_results, mid - start, end - mid)
 
 
+def _member_rows(traffic, key):
+    offsets, members, hops = traffic._slot_table()
+    slot = traffic._slot_of[key]
+    return traffic._assembled_big()[
+        offsets[slot]:offsets[slot] + members[slot], :hops[slot]]
+
+
+def _drain_and_undrain(fabric, tors, columnar, legacy, window):
+    """Offer ``window`` with ToR 0's first uplink drained, then again
+    undrained, on both engines.  Returns the pairs whose pre-drain
+    member paths crossed the link, the pairs the columnar engine
+    enumerated at each step, and both engines' results per step."""
+    link = fabric.links_of(tors[0])[0]
+    row = fabric.state.index_of[link.id]
+    nodes = columnar._endpoint_nodes
+    keys = np.unique(nodes[window[0]] * columnar.n_nodes
+                     + nodes[window[1]])
+    through = {key for key in keys.tolist()
+               if (_member_rows(columnar, key) == row).any()}
+    enumerated = []
+    resolve = columnar._resolve_missing
+
+    def counted(new_keys):
+        enumerated[-1].update(new_keys.tolist())
+        resolve(new_keys)
+
+    columnar._resolve_missing = counted
+    steps = []
+    for fast, slow in ((columnar.drain, legacy.drain),
+                       (columnar.undrain, legacy.undrain)):
+        fast(link.id)
+        slow(link.id)
+        enumerated.append(set())
+        steps.append((columnar.offer_window(*window, WINDOW_SECONDS),
+                      legacy.offer_window(*window, WINDOW_SECONDS)))
+    del columnar._resolve_missing
+    return through, enumerated, steps
+
+
 def test_traffic_scale(benchmark):
     (fabric, columnar, legacy, columnar_results, legacy_results,
      columnar_seconds, legacy_seconds) = run_once(benchmark, _run_pair)
@@ -71,8 +117,18 @@ def test_traffic_scale(benchmark):
           f"columnar {columnar_seconds:.3f}s, "
           f"legacy {legacy_seconds:.3f}s, speedup {speedup:.1f}x")
 
+    tors = columnar.endpoints
+    windows = _windows(len(tors))
+    through, enumerated, steps = _drain_and_undrain(
+        fabric, tors, columnar, legacy, windows[-1])
+    print(f"drain then undrain: {len(through)} pairs crossed the "
+          f"link; enumerated {[len(step) for step in enumerated]}")
+    assert through
+    assert enumerated == [through, through]
+
     # Bit-identical per-flow completion times, window for window.
-    for fast, slow in zip(columnar_results, legacy_results):
+    for fast, slow in zip(columnar_results + [f for f, _ in steps],
+                          legacy_results + [s for _, s in steps]):
         assert np.array_equal(fast.fct, slow.fct, equal_nan=True)
 
     # Bit-identical per-link utilization and loss totals: every link
